@@ -276,10 +276,15 @@ func (p *PVM) migratePageToStubs(pg *page) {
 }
 
 // dropPage frees a resident page outright; p.mu held. The caller has
-// dealt with stub readers and history preservation.
+// dealt with stub readers and history preservation. A busy page is
+// waited out first, with p.mu released; if the push-out that made it
+// busy evicted it meanwhile, there is nothing left to drop.
 func (p *PVM) dropPage(pg *page) {
 	for pg.busy {
 		p.waitBusy(pg, nil)
+	}
+	if pg.frame == nil {
+		return
 	}
 	p.invalidateMappings(pg)
 	p.unlinkPage(pg)

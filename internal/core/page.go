@@ -55,7 +55,10 @@ type page struct {
 	// rmap records the translations installed for this frame, so that
 	// protection changes and evictions reach every context. Entries are
 	// validated against the live translation before use, so stale
-	// entries (from destroyed regions) are harmless.
+	// entries (from destroyed regions) are harmless; entries of
+	// destroyed contexts are pruned by addMapping, so a long-lived page
+	// mapped by many short-lived contexts (a shared text page across
+	// fork/exit) does not pin them all.
 	rmap []mapping
 
 	// Cache page list threading (Figure 2's doubly-linked list).
@@ -148,12 +151,21 @@ func (p *PVM) protectMappings(pg *page, prot gmi.Prot) {
 	pg.rmap = live
 }
 
-// addMapping records a translation installed for pg.
+// addMapping records a translation installed for pg, compacting out
+// the entries of destroyed contexts as it scans. Callers hold p.mu at
+// least shared, and ctx.destroyed is written only under p.mu exclusive.
 func (pg *page) addMapping(ctx *context, va gmi.VA) {
+	live, found := pg.rmap[:0], false
 	for _, m := range pg.rmap {
-		if m.ctx == ctx && m.va == va {
-			return
+		if m.ctx.destroyed {
+			continue
 		}
+		found = found || (m.ctx == ctx && m.va == va)
+		live = append(live, m)
 	}
-	pg.rmap = append(pg.rmap, mapping{ctx: ctx, va: va})
+	clear(pg.rmap[len(live):]) // release the dead contexts to the GC
+	pg.rmap = live
+	if !found {
+		pg.rmap = append(pg.rmap, mapping{ctx: ctx, va: va})
+	}
 }

@@ -268,6 +268,9 @@ func (p *PVM) dropPageInto(pg *page, frames *[]*phys.Frame) {
 	for pg.busy {
 		p.waitBusy(pg, nil)
 	}
+	if pg.frame == nil {
+		return
+	}
 	p.invalidateMappings(pg)
 	p.unlinkPage(pg)
 	*frames = append(*frames, pg.frame)

@@ -583,3 +583,55 @@ func TestGetWriteAccessUpcall(t *testing.T) {
 	}
 	check(t, p)
 }
+
+// TestRmapPrunesDestroyedContexts maps one shared read-only text page into
+// a long-lived parent and, one after another, into many short-lived
+// children (the fork/exit pattern). The page's reverse map must stay
+// bounded by the live mappings instead of growing by one stale entry per
+// dead child.
+func TestRmapPrunesDestroyedContexts(t *testing.T) {
+	p, _ := newTestPVM(t, 16)
+	sg := seg.NewSegment("text", pg, p.Clock())
+	want := pattern(0x7E, pg)
+	sg.Store().WriteAt(0, want)
+	text := p.CacheCreate(sg)
+	mapText := func() gmi.Context {
+		t.Helper()
+		ctx, err := p.ContextCreate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustRegion(t, ctx, base, pg, gmi.ProtRead, text, 0)
+		if got := mustRead(t, ctx, base, pg); !bytes.Equal(got, want) {
+			t.Fatal("text page content mismatch")
+		}
+		return ctx
+	}
+	rmapLen := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		tp := p.ownPage(text.(*cache), 0)
+		if tp == nil {
+			t.Fatal("text page not resident")
+		}
+		return len(tp.rmap)
+	}
+
+	parent := mapText()
+	for i := 0; i < 200; i++ {
+		child := mapText()
+		if n := rmapLen(); n != 2 {
+			t.Fatalf("cycle %d: rmap holds %d entries with 2 live mappings", i, n)
+		}
+		if err := child.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(t, p)
+	if err := parent.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	if err := text.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+}

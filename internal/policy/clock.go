@@ -134,6 +134,19 @@ func (c *Clock) Unselect(n *Node) {
 	c.mu.Unlock()
 }
 
+// Drain implements Replacer: clear every selection mark, then sweep the
+// whole ring (two laps return every node, referenced or not).
+func (c *Clock) Drain(dst []*Node) []*Node {
+	c.mu.Lock()
+	n := c.hand
+	for i := c.Len(); i > 0; i-- {
+		n.sel = false
+		n = n.next
+	}
+	c.mu.Unlock()
+	return c.SelectVictims(dst, len(dst)+c.Len(), every)
+}
+
 // Len implements Replacer: a lock-free load (see counters).
 func (c *Clock) Len() int { return int(c.ctr.n.Load()) }
 

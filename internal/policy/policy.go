@@ -168,11 +168,21 @@ type Replacer interface {
 	// selectable again. Used when reclaim progresses by other means (a
 	// segmentCreate upcall) before acting on the victim.
 	Unselect(n *Node)
+	// Drain appends every linked node to dst in eviction order —
+	// including nodes selected by a SelectVictims whose eviction is still
+	// in progress — and returns it. Used to migrate pages to another
+	// Replacer (SetPolicy), after which this one is abandoned: a selected
+	// node left behind would stay threaded through the abandoned queues
+	// while the new policy received its OnRemove or Requeue.
+	Drain(dst []*Node) []*Node
 	// Len returns the number of linked nodes.
 	Len() int
 	// Stats returns the cumulative counters.
 	Stats() Stats
 }
+
+// every is the usable filter that accepts every node (Drain's sweep).
+func every(*Node) bool { return true }
 
 // Names lists the valid policy names, in flag-help order.
 func Names() []string { return []string{"lru", "clock", "2q"} }

@@ -355,3 +355,40 @@ func TestConcurrentTouch(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainReturnsSelectedNodes selects a victim (as an eviction whose
+// push-out is still in flight holds it) and drains: the policy being
+// replaced must hand over every linked node, the selected one included,
+// or the selected node stays threaded through the abandoned queues.
+func TestDrainReturnsSelectedNodes(t *testing.T) {
+	for _, name := range Names() {
+		for _, shards := range []int{1, 4} {
+			r, err := NewSharded(name, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 12
+			for i := 0; i < n; i++ {
+				nd := mk(i)
+				nd.SetHome(uint32(i))
+				r.OnInsert(nd)
+			}
+			picked := r.SelectVictims(nil, 3, all)
+			if len(picked) != 3 {
+				t.Fatalf("%s/%d: selected %d victims, want 3", name, shards, len(picked))
+			}
+			r.OnTouch(picked[0]) // selected and referenced again
+			got := ids(r.Drain(nil))
+			seen := map[int]bool{}
+			for _, id := range got {
+				if seen[id] {
+					t.Fatalf("%s/%d: Drain returned node %d twice: %v", name, shards, id, got)
+				}
+				seen[id] = true
+			}
+			if len(seen) != n {
+				t.Fatalf("%s/%d: Drain returned %d of %d nodes: %v", name, shards, len(seen), n, got)
+			}
+		}
+	}
+}

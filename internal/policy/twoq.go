@@ -176,6 +176,20 @@ func (t *TwoQ) Unselect(n *Node) {
 	t.mu.Unlock()
 }
 
+// Drain implements Replacer: clear every selection mark, then sweep both
+// queues whole (a spared node moves to the main queue's head, where the
+// same sweep still reaches it).
+func (t *TwoQ) Drain(dst []*Node) []*Node {
+	t.mu.Lock()
+	for _, l := range []*nodeList{&t.a1, &t.am} {
+		for n := l.head; n != nil; n = n.next {
+			n.sel = false
+		}
+	}
+	t.mu.Unlock()
+	return t.SelectVictims(dst, len(dst)+t.Len(), every)
+}
+
 // Len implements Replacer: a lock-free load (see counters).
 func (t *TwoQ) Len() int { return int(t.ctr.n.Load()) }
 

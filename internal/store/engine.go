@@ -383,10 +383,11 @@ func (e *Engine) spawnLocked() {
 
 // worker drains the async-read queue first (faulting contexts are parked
 // on those completions), then the writeback queue (batching adjacent
-// pages), then the prefetch queue, exiting when all are empty. Exit and
-// queue insertion both happen under e.mu, so work enqueued concurrently
-// is never stranded: either this worker sees it on its next loop, or the
-// enqueuer's spawnLocked starts a fresh one.
+// pages), then the prefetch queue, exiting when all are empty (dirty
+// pages whose older content is still in flight are left to the worker
+// writing it). Exit and queue insertion both happen under e.mu, so work
+// enqueued concurrently is never stranded: either this worker sees it on
+// its next loop, or the enqueuer's spawnLocked starts a fresh one.
 func (e *Engine) worker() {
 	e.mu.Lock()
 	for {
@@ -401,8 +402,7 @@ func (e *Engine) worker() {
 			e.mu.Lock()
 			continue
 		}
-		if len(e.dirty) > 0 {
-			base, batch := e.takeBatchLocked()
+		if base, batch := e.takeBatchLocked(); len(batch) > 0 {
 			e.mu.Unlock()
 			werr := e.writeBatch(base, batch)
 			e.mu.Lock()
@@ -449,21 +449,33 @@ func (e *Engine) worker() {
 	e.mu.Unlock()
 }
 
-// takeBatchLocked moves the lowest run of adjacent dirty pages into the
-// in-flight set and returns them as one contiguous buffer; e.mu held.
+// takeBatchLocked moves the lowest run of adjacent dirty pages that are
+// not already in flight into the in-flight set and returns them as one
+// contiguous buffer; e.mu held. A page re-dirtied while an older batch
+// holding it is inside the backend stays queued: two concurrent WriteAts
+// of one page could land in either order and lose the newer content. The
+// worker that owns the older batch loops back under e.mu when it lands,
+// so such a page is never stranded. No batch (nil pages) means every
+// dirty page is in flight.
 func (e *Engine) takeBatchLocked() (base int64, pages [][]byte) {
 	lo := int64(-1)
 	for po := range e.dirty {
-		if lo < 0 || po < lo {
+		if _, busy := e.inflight[po]; !busy && (lo < 0 || po < lo) {
 			lo = po
 		}
 	}
+	if lo < 0 {
+		return 0, nil
+	}
 	for len(pages) < e.o.MaxBatchPages {
-		pg, ok := e.dirty[lo+int64(len(pages))*e.ps]
+		po := lo + int64(len(pages))*e.ps
+		pg, ok := e.dirty[po]
 		if !ok {
 			break
 		}
-		po := lo + int64(len(pages))*e.ps
+		if _, busy := e.inflight[po]; busy {
+			break
+		}
 		delete(e.dirty, po)
 		e.inflight[po] = pg
 		pages = append(pages, pg)

@@ -14,13 +14,16 @@ import (
 type gateBackend struct {
 	Backend
 	entered chan struct{} // closed when the first WriteAt starts
-	release chan struct{} // WriteAt blocks until this is closed
+	release chan struct{} // the first WriteAt blocks until this is closed
 	once    sync.Once
 }
 
 func (g *gateBackend) WriteAt(off int64, data []byte) error {
-	g.once.Do(func() { close(g.entered) })
-	<-g.release
+	first := false
+	g.once.Do(func() { first = true; close(g.entered) })
+	if first {
+		<-g.release
+	}
 	return g.Backend.WriteAt(off, data)
 }
 
@@ -326,5 +329,104 @@ func TestEngineConcurrentWritersReaders(t *testing.T) {
 		if !bytes.Equal(got, pattern(byte(i+1), psTest)) {
 			t.Fatalf("page %d mismatch after flush", i)
 		}
+	}
+}
+
+// landLog records, for every page of every WriteAt that reached the
+// backend, the page index and the page's first byte, in landing order.
+type landLog struct {
+	Backend
+	mu     sync.Mutex
+	landed [][2]byte
+}
+
+func (l *landLog) WriteAt(off int64, data []byte) error {
+	err := l.Backend.WriteAt(off, data)
+	l.mu.Lock()
+	for i := 0; i < len(data); i += psTest {
+		l.landed = append(l.landed, [2]byte{byte((off + int64(i)) / psTest), data[i]})
+	}
+	l.mu.Unlock()
+	return err
+}
+
+func (l *landLog) snapshot() [][2]byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([][2]byte(nil), l.landed...)
+}
+
+// TestEngineNeverOverlapsWritesOfOnePage re-dirties a page while its
+// older content is inside the backend, with a second worker free to take
+// it. The newer content must wait for the older batch and land last; a
+// concurrent second WriteAt of the page could land first and be lost
+// under the older one, which the engine would then report as corruption.
+func TestEngineNeverOverlapsWritesOfOnePage(t *testing.T) {
+	log := &landLog{Backend: NewMem(psTest)}
+	g := &gateBackend{Backend: log, entered: make(chan struct{}), release: make(chan struct{})}
+	e := NewEngine(g, Options{Workers: 2, ReadAhead: -1})
+	older, newer, other := pattern(1, psTest), pattern(2, psTest), pattern(3, psTest)
+
+	// Worker A takes page 0 and is held inside the backend.
+	if err := e.Write(0, older); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never reached the backend")
+	}
+	// Page 0 is re-dirtied, and page 2 is dirtied for the first time;
+	// the second worker spawns with both in the queue.
+	if err := e.Write(0, newer); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Write(2*psTest, other); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the second worker to finish whatever it may take and exit.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		e.mu.Lock()
+		n, inflight := e.workers, len(e.inflight)
+		e.mu.Unlock()
+		if n == 1 {
+			if inflight != 1 {
+				t.Fatalf("%d pages in flight with only the held batch open, want 1", inflight)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("second worker never went idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := log.snapshot(); len(got) != 1 || got[0] != [2]byte{2, other[0]} {
+		t.Fatalf("while page 0 was held, landed %v, want only page 2", got)
+	}
+
+	close(g.release)
+	e.Barrier()
+	var page0 []byte
+	for _, l := range log.snapshot() {
+		if l[0] == 0 {
+			page0 = append(page0, l[1])
+		}
+	}
+	if want := []byte{older[0], newer[0]}; !bytes.Equal(page0, want) {
+		t.Fatalf("page 0 contents landed as %v, want older then newer %v", page0, want)
+	}
+	got := make([]byte, psTest)
+	if err := e.Read(0, got); err != nil {
+		t.Fatalf("Read after writeback: %v (a false ErrCorrupt means the older content landed last)", err)
+	}
+	if !bytes.Equal(got, newer) {
+		t.Fatal("engine read returned the older content")
+	}
+	if st := e.StatsSnapshot(); st.Corruptions != 0 {
+		t.Fatalf("Corruptions = %d, want 0", st.Corruptions)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -42,7 +42,8 @@ type Backend interface {
 	ReadAt(off int64, buf []byte) error
 
 	// WriteAt stores data at [off, off+len(data)), materializing pages
-	// as needed.
+	// as needed. Like io.WriterAt, it must not retain data: callers
+	// reuse their buffers.
 	WriteAt(off int64, data []byte) error
 
 	// Truncate discards all pages at or beyond size (Truncate(0) frees

@@ -71,6 +71,11 @@ type Backend struct {
 	level  map[int64]int8 // page offset -> tier holding it
 	lrus   [2]*lruList    // recency per bounded tier (hot, warm)
 	closed bool
+	// scratch holds two pages of copy space, used under b.mu: [0] by
+	// ReadAt for a warm/cold hit, [1] by movePage. Two, because ReadAt's
+	// promote rebalances, and a demotion's movePage runs while ReadAt's
+	// page is still being promoted.
+	scratch [2][]byte
 
 	// Advice arrives under its own lock and only ever enqueues: callers
 	// hold VM locks and must never wait behind tier I/O (which runs
@@ -119,12 +124,13 @@ func New(hot, warm, cold store.Backend, opt Options) (*Backend, error) {
 		}
 	}
 	b := &Backend{
-		ps:    int64(ps),
-		opt:   opt,
-		tiers: tiers,
-		level: make(map[int64]int8),
-		lrus:  [2]*lruList{newLRUList(), newLRUList()},
-		sink:  make(map[int64]store.Advice),
+		ps:      int64(ps),
+		opt:     opt,
+		tiers:   tiers,
+		level:   make(map[int64]int8),
+		lrus:    [2]*lruList{newLRUList(), newLRUList()},
+		scratch: [2][]byte{make([]byte, ps), make([]byte, ps)},
+		sink:    make(map[int64]store.Advice),
 	}
 	// Adopt pre-existing pages, coldest first so a hotter duplicate wins.
 	for lv := Cold; lv >= Hot; lv-- {
@@ -206,7 +212,7 @@ func (b *Backend) dropLevel(po int64) {
 
 // movePage relocates one page's content between tiers; b.mu held.
 func (b *Backend) movePage(po int64, src, dst int8) error {
-	pg := make([]byte, b.ps)
+	pg := b.scratch[1]
 	if err := b.tiers[src].ReadAt(po, pg); err != nil {
 		return err
 	}
@@ -279,7 +285,7 @@ func (b *Backend) ReadAt(off int64, buf []byte) error {
 	if b.closed {
 		return store.ErrClosed
 	}
-	scratch := make([]byte, b.ps)
+	scratch := b.scratch[0]
 	return forEachPage(b.ps, off, int64(len(buf)), func(po, pb, bufOff, n int64) error {
 		lv, ok := b.level[po]
 		if !ok {

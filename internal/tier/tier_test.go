@@ -269,3 +269,42 @@ func TestCloseStopsMigrator(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 }
+
+// BenchmarkTierReadPromote measures the refault path of the tiered
+// store: every read hits a cold page, climbs it to warm, and the warm
+// watermark demotes the warm tier's coldest page back to cold — one
+// read, one promotion, one movePage per op.
+func BenchmarkTierReadPromote(b *testing.B) {
+	const (
+		ps    = 8192
+		pages = 64
+	)
+	tb := tier.NewDefault(ps, tier.Options{HotPages: 4, WarmPages: 8})
+	defer tb.Close()
+	pg := make([]byte, ps)
+	for i := 0; i < pages; i++ {
+		copy(pg, []byte{byte(i), 'v', 'e', 'r'})
+		if err := tb.WriteAt(int64(i)*ps, pg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One full pass settles the steady state: a read page is always the
+	// one demoted longest ago.
+	for i := 0; i < pages; i++ {
+		if err := tb.ReadAt(int64(i)*ps, pg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := tb.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tb.ReadAt(int64(i%pages)*ps, pg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := tb.Stats(); st.ColdReads-before.ColdReads != uint64(b.N) {
+		b.Fatalf("%d cold reads in %d ops: the benchmark left its steady state", st.ColdReads-before.ColdReads, b.N)
+	}
+}
